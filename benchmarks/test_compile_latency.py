@@ -15,9 +15,12 @@ The pre-PR baseline reverts all four compile-path deltas at once:
 ``SeedBudgets`` restores the unmemoized ``available()``,
 ``SeedPartitionSolver._windows`` restores the seed's layer-grid window
 partition (48-layer grid), ``exact_engine="reference"`` selects the seed
-EDF/prover, and ``window_reuse=False`` disables the cache.  Everything
-else (CP core, fusion loop, models) is shared, so the ratio isolates this
-PR's compile-path work.
+EDF/prover, and ``window_reuse=False`` disables the cache.  The baseline
+also bypasses the later structural window tier
+(``SeedPartitionSolver._structural_window`` returns None), so every
+window reaches CP search as it did before that tier existed.  Everything
+else (CP core, fusion loop, models) is shared, so the ratio isolates the
+compile-path work against the pre-reuse pipeline.
 
 Measurement methodology: each timed side runs in a *fresh subprocess*
 (interleaved, minimum of N CPU-time samples per side).  The work is
@@ -75,7 +78,11 @@ class SeedBudgets(Budgets):
 
 
 class SeedPartitionSolver(lcopg.LcOpgSolver):
-    """Pre-PR window partition: fixed 48-layer grid (insertion-sensitive)."""
+    """Pre-PR window partition: fixed 48-layer grid (insertion-sensitive),
+    with every window solved by CP search (no structural tier)."""
+
+    def _structural_window(self, weights, budgets):
+        return None
 
     def _windows(self, problem):
         windows, current = [], []
@@ -142,6 +149,8 @@ def _measure_side(side: str) -> None:
             "exact_prover_s": round(plan.stats.exact_prover_s, 3),
             "greedy_s": round(plan.stats.greedy_s, 3),
             "edf_calls": plan.stats.edf_calls,
+            "structural_windows": plan.stats.structural_windows,
+            "cp_windows": plan.stats.cp_windows,
         }
     emit_record(record)
 

@@ -59,6 +59,7 @@ from typing import List, Optional
 
 from repro.core.config import FlashMemConfig
 from repro.core.flashmem import FlashMem
+from repro.fusion.adaptive import _solver_iteration_record
 from repro.gpusim.device import DEVICE_PRESETS, get_device
 from repro.graph.models import (
     ALL_CARDS,
@@ -295,6 +296,7 @@ def _print_solver_stats(plan) -> None:
     stats = plan.stats
     print(f"Solver stats: {stats.nodes_explored} nodes over {stats.cp_windows} CP windows "
           f"({stats.nodes_per_sec:.0f} nodes/s); "
+          f"{stats.structural_windows} windows certified by SRPT; "
           f"{stats.windows_reused} of {stats.windows} windows replayed from cache")
     print(f"  tightenings {stats.propagations}; constraint evals: "
           f"linear {stats.prop_linear}, implication {stats.prop_implication}; "
@@ -319,11 +321,12 @@ def _print_fusion_iterations(report) -> None:
     print(f"Adaptive fusion: {report.total_windows_reused} of {report.total_windows} "
           f"windows reused across {len(report.solver_iterations)} solves "
           f"({report.window_reuse_rate * 100:.0f}%)")
-    print(f"  {'iter':>4s} {'status':9s} {'windows':>7s} {'reused':>6s} "
-          f"{'cp s':>7s} {'prover s':>8s} {'greedy s':>8s} {'edf':>6s}")
+    print(f"  {'iter':>4s} {'status':9s} {'windows':>7s} {'reused':>6s} {'srpt':>5s} "
+          f"{'cp':>4s} {'cp s':>7s} {'prover s':>8s} {'greedy s':>8s} {'edf':>6s}")
     for it in report.solver_iterations:
         print(f"  {it['iteration']:>4d} {it['status']:9s} {it['windows']:>7d} "
-              f"{it['windows_reused']:>6d} {it['cp_solve_s']:>7.3f} "
+              f"{it['windows_reused']:>6d} {it['structural_windows']:>5d} "
+              f"{it['cp_windows']:>4d} {it['cp_solve_s']:>7.3f} "
               f"{it['exact_prover_s']:>8.3f} {it['greedy_s']:>8.3f} {it['edf_calls']:>6d}")
 
 
@@ -392,18 +395,27 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler.enable()
     compiled = fm.compile(graph, device)
     profiler.disable()
-    stats = compiled.plan.stats
+    report = compiled.fusion_report
+    # Every adaptive-fusion iteration runs one LC-OPG solve; plan.stats
+    # holds only the last, so the headline sums them all.
+    solves = (report.solver_iterations if report is not None and report.solver_iterations
+              else [_solver_iteration_record(0, compiled.plan)])
+    total = {key: sum(it[key] for it in solves) for key in solves[0]
+             if key not in ("iteration", "status")}
     print(f"compile finished in {compiled.compile_s:.2f}s "
-          f"(status {stats.solver_status})")
-    print(f"  phase split: process {stats.process_nodes_s:.3f}s, "
-          f"build {stats.build_model_s:.3f}s, cp {stats.cp_solve_s:.3f}s, "
-          f"prover {stats.exact_prover_s:.3f}s, greedy {stats.greedy_s:.3f}s "
-          f"({stats.edf_calls} EDF oracle calls; "
-          f"{stats.windows_reused}/{stats.windows} windows replayed)")
+          f"(status {compiled.plan.stats.solver_status})")
+    print(f"  phase split over {len(solves)} solve(s): "
+          f"process {total['process_nodes_s']:.3f}s, "
+          f"build {total['build_model_s']:.3f}s, cp {total['cp_solve_s']:.3f}s, "
+          f"prover {total['exact_prover_s']:.3f}s, greedy {total['greedy_s']:.3f}s "
+          f"({total['edf_calls']} EDF oracle calls; "
+          f"{total['structural_windows']} windows certified by SRPT, "
+          f"{total['cp_windows']} searched by CP; "
+          f"{total['windows_reused']}/{total['windows']} windows replayed)")
     print(f"top {args.top} functions by cumulative time:")
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.top)
-    if compiled.fusion_report is not None and compiled.fusion_report.solver_iterations:
-        _print_fusion_iterations(compiled.fusion_report)
+    if report is not None and report.solver_iterations:
+        _print_fusion_iterations(report)
     return 0
 
 

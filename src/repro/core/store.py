@@ -38,7 +38,10 @@ from repro.opg.problem import OpgConfig
 #: payload types change shape; old entries then simply address different
 #: paths and age out instead of being mis-loaded.  v3: plans carry a
 #: ``kv_plan`` (decode KV residency), run keys fold in the Scenario.
-ARTIFACT_SCHEMA_VERSION = 3
+#: v4: the structural OPG window tier changes plans, and compiled/episode
+#: entries are keyed by config rather than code, so v3 stores would serve
+#: stale plans.
+ARTIFACT_SCHEMA_VERSION = 4
 
 
 def _canonical_default(value):

@@ -48,6 +48,7 @@ class Table4Row:
     propagations: int = 0
     queue_peak: int = 0
     cp_windows: int = 0
+    structural_windows: int = 0
     heuristic_windows: int = 0
     # Compile-phase split + window-reuse counters (incremental pipeline).
     cp_solve_s: float = 0.0
@@ -71,7 +72,8 @@ class Table4Result:
             title=f"Table 4 — LC-OPG runtime (limit {self.time_limit_s:.0f} s per model)",
         )
         solver = render_table(
-            ["Model", "Nodes", "Nodes/s", "Propagations", "Queue peak", "CP win", "Greedy win"],
+            ["Model", "Nodes", "Nodes/s", "Propagations", "Queue peak", "SRPT win", "CP win",
+             "Greedy win"],
             [
                 (
                     r.model,
@@ -79,6 +81,7 @@ class Table4Result:
                     round(r.nodes_per_sec),
                     r.propagations,
                     r.queue_peak,
+                    r.structural_windows,
                     r.cp_windows,
                     r.heuristic_windows,
                 )
@@ -141,6 +144,7 @@ def run(
                 propagations=plan.stats.propagations,
                 queue_peak=plan.stats.queue_peak,
                 cp_windows=plan.stats.cp_windows,
+                structural_windows=plan.stats.structural_windows,
                 heuristic_windows=plan.stats.heuristic_windows,
                 cp_solve_s=plan.stats.cp_solve_s,
                 exact_prover_s=plan.stats.exact_prover_s,

@@ -60,6 +60,9 @@ def _solver_iteration_record(iteration: int, plan: OverlapPlan) -> Dict[str, obj
         "status": s.solver_status,
         "windows": s.windows,
         "windows_reused": s.windows_reused,
+        "process_nodes_s": round(s.process_nodes_s, 6),
+        "structural_windows": s.structural_windows,
+        "cp_windows": s.cp_windows,
         "solve_s": round(s.solve_s, 6),
         "build_model_s": round(s.build_model_s, 6),
         "cp_solve_s": round(s.cp_solve_s, 6),

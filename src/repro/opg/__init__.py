@@ -1,7 +1,7 @@
 """Overlap Plan Generation: problem, CP solver, LC-OPG, plans, validation."""
 
 from repro.opg.cpsat import CpModel, CpSolver, SolveStatus
-from repro.opg.exact import edf_feasible, prove_window
+from repro.opg.exact import edf_feasible, prove_window, srpt_window
 from repro.opg.lcopg import LcOpgSolver
 from repro.opg.plan import OverlapPlan, PlanStats, TransformSegment, WeightSchedule
 from repro.opg.problem import OpgConfig, OpgProblem, WeightInfo, build_problem
@@ -13,6 +13,7 @@ __all__ = [
     "SolveStatus",
     "edf_feasible",
     "prove_window",
+    "srpt_window",
     "LcOpgSolver",
     "OverlapPlan",
     "PlanStats",

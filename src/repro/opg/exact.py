@@ -19,6 +19,10 @@ the proof:
 FEASIBLE incumbent on a modest-sized window; on success the window's status
 upgrades to OPTIMAL (and the incumbent may improve).
 
+Before any of that, :func:`srpt_window` tries to certify the window outright
+with a structural argument (reversed-time SRPT, see its docstring); only
+windows it cannot certify reach CP search at all.
+
 Two engines implement the same mathematics:
 
 - the **fast** engine (default, this PR) packs *weight-major*: weights in
@@ -44,6 +48,7 @@ because subtree pruning visits fewer nodes.
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,6 +91,69 @@ def edf_feasible(
         base = releases[w.name]
         assignment[w.name] = {base + int(i): int(take[i]) for i in np.nonzero(take)[0]}
     return assignment
+
+
+def srpt_window(
+    weights: Sequence[WeightInfo], budgets: Budgets
+) -> Optional[Dict[str, Dict[int, int]]]:
+    """Certify a window optimal by reversed-time SRPT; None when it cannot.
+
+    Read from the consumers backwards, a window is single-machine
+    preemptive scheduling: weight ``w`` is a job released at layer
+    ``i_w - 1`` with ``T(w)`` units of work and a hard deadline at its
+    lowest candidate ``lo_w``, layer ``l`` is a slot of ``available(l)``
+    units, and the loading distance ``i_w - z_w`` is the job's completion
+    time up to a constant.  Without the deadlines, shortest remaining
+    processing time minimises total completion time (Schrage 1968; Baker
+    1974), so an SRPT schedule that also meets every deadline is optimal
+    for the window.  Each layer's capacity goes to released jobs fewest
+    remaining chunks first, ties on window position and never on names
+    (the window-reuse fingerprints assume names cannot steer a solve).
+
+    Returns None when a job still has chunks left below its lowest
+    candidate, or when some weight's candidates are not every
+    capacity-bearing layer of ``[lo_w, i_w)`` (the reduction needs interval
+    availability).  Budgets are only read.
+    """
+    placed: Dict[str, Dict[int, int]] = {w.name: {} for w in weights}
+    jobs = [j for j, w in enumerate(weights) if w.total_chunks]
+    if not jobs:
+        return placed
+    lo = min(min(weights[j].candidates) for j in jobs)
+    hi = max(weights[j].consumer_layer for j in jobs)
+    avail = budgets.available_range(lo, hi)
+    due: Dict[int, List[int]] = {}
+    for j in jobs:
+        w = weights[j]
+        lo_w, candidates = min(w.candidates), set(w.candidates)
+        if max(candidates) >= w.consumer_layer or any(
+            avail[l - lo] > 0 and l not in candidates for l in range(lo_w, w.consumer_layer)
+        ):
+            return None
+        due.setdefault(lo_w, []).append(j)
+    by_release = sorted(jobs, key=lambda j: -weights[j].consumer_layer)
+    remaining = [w.total_chunks for w in weights]
+    active: List[Tuple[int, int]] = []  # heap of (remaining chunks, position)
+    k = 0
+    for layer in range(hi - 1, lo - 1, -1):
+        while k < len(by_release) and weights[by_release[k]].consumer_layer > layer:
+            j = by_release[k]
+            heapq.heappush(active, (remaining[j], j))
+            k += 1
+        cap = avail[layer - lo]
+        while cap and active:
+            rem, j = active[0]
+            take = min(cap, rem)
+            placed[weights[j].name][layer] = take
+            cap -= take
+            remaining[j] = rem - take
+            if remaining[j]:
+                heapq.heapreplace(active, (remaining[j], j))
+            else:
+                heapq.heappop(active)
+        if any(remaining[j] for j in due.get(layer, ())):
+            return None
+    return placed
 
 
 def edf_feasible_reference(

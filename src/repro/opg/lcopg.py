@@ -5,9 +5,11 @@ Orchestrates the full pipeline the paper describes:
 1. **Process nodes** — materialise the OPG instance (weights, T(w), i_w,
    candidate layers, per-layer capacities C_l).
 2. **Incremental scheduling** — slide a rolling window over the layer
-   sequence; each window's weights are scheduled by a CP model built over
-   the *remaining* per-layer budgets, keeping the active constraint set
-   small and the solver runtime predictable.
+   sequence; each window's weights are scheduled against the *remaining*
+   per-layer budgets, keeping the active constraint set small and the
+   solver runtime predictable.  A structural tier (reversed-time SRPT)
+   certifies a window optimal without search when its schedule meets
+   every deadline; only the other windows get a CP model.
 3. **Tiered fallbacks (C4)** — on infeasibility or timeout: soft threshold
    adjustment (relax C_l), incremental preloading (move the largest
    offending weight into W), and finally the greedy heuristic backup.
@@ -59,7 +61,7 @@ from repro.graph.dag import Graph
 from repro.graph.ops import OpKind
 from repro.opg.cpsat.model import CpModel, SolveStatus
 from repro.opg.cpsat.search import CpSolver
-from repro.opg.exact import edf_feasible, edf_feasible_reference, prove_window
+from repro.opg.exact import edf_feasible, edf_feasible_reference, prove_window, srpt_window
 from repro.opg.heuristics import Budgets, greedy_assign, greedy_schedule
 from repro.opg.plan import KvResidencyPlan, OverlapPlan, PlanStats, WeightSchedule
 from repro.opg.problem import OpgConfig, OpgProblem, WeightInfo, build_problem
@@ -763,11 +765,16 @@ class LcOpgSolver:
         time_limit_s: float,
         stats: PlanStats,
     ) -> Optional[Tuple[Dict[str, Dict[int, int]], SolveStatus]]:
-        """Build and solve the CP model for one window.
+        """Solve one window: the structural tier first, then the CP model.
 
         Returns None when no feasible schedule was found (callers fall back);
         otherwise commits budgets and returns the placements.
         """
+        placed = self._structural_window(weights, budgets)
+        if placed is not None:
+            stats.structural_windows += 1
+            self._commit(placed, budgets)
+            return placed, SolveStatus.OPTIMAL
         build_start = time.perf_counter()
         # Decision hints: an exact EDF packing (always jointly consistent,
         # so the first hinted descent lands on a complete solution), with a
@@ -905,10 +912,25 @@ class LcOpgSolver:
                 if proven:
                     placed = improved
                     status = SolveStatus.OPTIMAL
+        self._commit(placed, budgets)
+        return placed, status
+
+    def _structural_window(
+        self, weights: Sequence[WeightInfo], budgets: Budgets
+    ) -> Optional[Dict[str, Dict[int, int]]]:
+        """Placements certified optimal without search, or None.
+
+        Reversed-time SRPT is optimal for the window with its deadlines
+        dropped, so when it meets every deadline it is optimal as posed
+        (see :func:`~repro.opg.exact.srpt_window` and DESIGN.md).
+        """
+        return srpt_window(weights, budgets)
+
+    @staticmethod
+    def _commit(placed: Dict[str, Dict[int, int]], budgets: Budgets) -> None:
         for assignment in placed.values():
             for l, chunks in assignment.items():
                 budgets.consume(l, chunks)
-        return placed, status
 
     @staticmethod
     def _absorb_solver_stats(stats: PlanStats, solution) -> None:

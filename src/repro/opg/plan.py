@@ -163,6 +163,9 @@ class PlanStats:
     solver_status: str = "UNKNOWN"
     windows: int = 0
     cp_windows: int = 0
+    #: Windows certified optimal by the structural tier (reversed-time SRPT)
+    #: before any CP model was built; these never reach ``cp_windows``.
+    structural_windows: int = 0
     heuristic_windows: int = 0
     #: Windows replayed from the solver's cross-solve window cache instead
     #: of being re-solved (adaptive-fusion iterations leave most windows

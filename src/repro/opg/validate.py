@@ -2,8 +2,9 @@
 
 Every plan the solver emits can be independently checked for C0-C4 plus
 basic sanity (transforms strictly before consumption, loads no later than
-first transform).  The test suite and the runtime both use this — a plan
-that fails validation is a solver bug, not a runtime condition.
+first transform).  The test suite and the repository benchmark call it;
+the runtime does not — a plan that fails validation is a solver bug, not a
+runtime condition.
 """
 
 from __future__ import annotations

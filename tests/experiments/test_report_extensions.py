@@ -54,9 +54,12 @@ class TestAblations:
         studies = {r.study for r in result.rows}
         assert studies == {"scheduler", "chunk_size", "lookback", "window"}
 
-    def test_greedy_much_faster_than_cp(self, result):
+    def test_cp_no_worse_than_greedy(self, result):
         sched = {r.setting: r for r in result.study("scheduler")}
-        assert sched["greedy-only"].solve_s < sched["CP-SAT"].solve_s
+        cp, greedy = sched["CP-SAT"], sched["greedy-only"]
+        assert cp.total_distance <= greedy.total_distance
+        strength = {"OPTIMAL": 2, "FEASIBLE": 1}
+        assert strength.get(cp.status, 0) >= strength.get(greedy.status, 0)
 
     def test_coarse_chunks_hurt_streaming(self, result):
         chunks = {r.setting: r for r in result.study("chunk_size")}

@@ -34,6 +34,14 @@ CASES = [
     ("GPTN-S", "Pixel 8"),
 ]
 
+#: Models whose windows still reach CP search at FAST; every window of the
+#: vision models is certified by the structural tier.
+CP_MODELS = {"GPTN-S"}
+
+
+def _total(report, key):
+    return sum(int(r[key]) for r in report.solver_iterations)
+
 
 def _plan(model, device, config):
     graph = eliminate_layout_ops(load_model(model))
@@ -75,6 +83,11 @@ def test_plans_identical_with_and_without_reuse(model, device):
     assert windows_on == windows_off
     # The reuse-off run must really have replayed nothing.
     assert report_off.total_windows_reused == 0
+    # Replay covers structurally certified windows, and CP-searched ones
+    # where the model has any.
+    assert _total(report_off, "structural_windows") > 0
+    if model in CP_MODELS:
+        assert _total(report_off, "cp_windows") > 0
 
 
 def test_reuse_fires_on_iterating_large_model():

@@ -37,10 +37,13 @@ TOGGLES = [
 
 
 def _graph():
+    # Wide enough that weights contend for load capacity: the structural
+    # tier certifies some windows, the rest go through CP search (which is
+    # what the engine and portfolio toggles act on).
     b = GraphBuilder("toggle-matrix")
-    b.embedding(16, 500, 128)
-    for _ in range(4):
-        b.transformer_block(16, 128, 4)
+    b.embedding(64, 500, 768)
+    for _ in range(6):
+        b.transformer_block(64, 768, 8)
     return b.finish()
 
 
@@ -77,6 +80,7 @@ def reference():
 )
 def test_plan_identical_across_toggles(engine, reuse, portfolio, reference):
     plan = _solve(engine, reuse, portfolio)
+    assert reference.stats.cp_windows > 0
     assert plan.schedules == reference.schedules
     assert plan.stats.solver_status == reference.stats.solver_status
     assert plan.stats.soft_threshold_rounds == reference.stats.soft_threshold_rounds
