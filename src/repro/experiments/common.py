@@ -177,6 +177,12 @@ def cached_graph(model: str) -> Graph:
     return load_model(model)
 
 
+@lru_cache(maxsize=64)
+def cached_lowered_graph(model: str) -> Graph:
+    """The layout-eliminated graph SmartMem runs (pure, so shared)."""
+    return eliminate_layout_ops(cached_graph(model))
+
+
 @lru_cache(maxsize=16)
 def cached_capacity(device_name: str, backend: str = "analytic") -> LoadCapacityModel:
     """Capacity model per (device, backend).
@@ -235,9 +241,7 @@ def framework_result(
     if stored is not None:
         return None if stored == _UNSUPPORTED else stored
     profile = get_profile(framework)
-    graph = cached_graph(model)
-    if framework == "SMem":
-        graph = eliminate_layout_ops(graph)
+    graph = cached_lowered_graph(model) if framework == "SMem" else cached_graph(model)
     try:
         result: Optional[RunResult] = PreloadExecutor(profile, get_device(device_name)).run(
             graph, scenario=scenario
@@ -314,8 +318,8 @@ def framework_decode_result(
 def clear_caches() -> None:
     """Drop all in-process cached compilations/results (tests use this for
     isolation).  The persistent store, if configured, is untouched."""
-    for fn in (cached_graph, cached_capacity, cached_compile, flashmem_result,
-               framework_result, cached_decode_graph, cached_decode_compile,
+    for fn in (cached_graph, cached_lowered_graph, cached_capacity, cached_compile,
+               flashmem_result, framework_result, cached_decode_graph, cached_decode_compile,
                flashmem_decode_result, framework_decode_result):
         fn.cache_clear()
     capacity_cache.clear_capacity_cache()

@@ -13,13 +13,12 @@ from typing import List, Optional
 from repro.experiments.common import (
     DEFAULT_DEVICE,
     cached_capacity,
-    cached_graph,
+    cached_lowered_graph,
     experiment_opg_config,
     flashmem_result,
 )
 from repro.experiments.report import render_table
 from repro.gpusim.device import get_device
-from repro.graph.lowering import eliminate_layout_ops
 from repro.runtime.executor import FlashMemExecutor
 from repro.runtime.naive_overlap import AlwaysNextPlanner, SameOpTypePlanner
 
@@ -68,7 +67,7 @@ def run(device: str = DEFAULT_DEVICE, *, models: Optional[List[str]] = None) -> 
     rows: List[Fig9Row] = []
     for model in models or MODELS:
         ours = flashmem_result(model, device)
-        graph = eliminate_layout_ops(cached_graph(model))
+        graph = cached_lowered_graph(model)
         executor = FlashMemExecutor(dev)
         same = executor.run(
             graph,

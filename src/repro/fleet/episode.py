@@ -24,7 +24,9 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.experiments import common
-from repro.graph.lowering import eliminate_layout_ops
+# Kept as a module attribute: perfbench/tracing.py times graph lowering by
+# patching this name.
+from repro.graph.lowering import eliminate_layout_ops  # noqa: F401
 from repro.gpusim.device import THROTTLE_STATES, get_device
 from repro.gpusim.timeline import RunResult, session_deltas
 from repro.runtime.executor import FlashMemExecutor
@@ -180,10 +182,10 @@ class EpisodeProvider:
             profile = get_profile(runtime)
             if scenario.is_decode:
                 graph = common.cached_decode_graph(model, scenario.context_len)
+            elif runtime == "SMem":
+                graph = common.cached_lowered_graph(model)
             else:
                 graph = common.cached_graph(model)
-                if runtime == "SMem":
-                    graph = eliminate_layout_ops(graph)
             result = PreloadExecutor(profile, device).run(
                 graph, scenario=scenario, check_support=False
             )

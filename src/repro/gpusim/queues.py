@@ -19,12 +19,32 @@ columns are always start-sorted and pairwise disjoint: each start is >= the
 previous end.  :meth:`CommandQueue.busy_intervals` exploits this to merge
 busy spans in one pass without sorting — adjacent events coalesce exactly
 when one starts the instant the previous ends.
+
+**Bulk runs.**  :meth:`CommandQueue.submit_run` submits a back-to-back run
+of items as one strict left-fold (``np.add.accumulate``, the sequential
+recurrence — not ``np.sum``'s pairwise tree), so every end time and
+accumulator is bitwise what the equivalent ``submit_fast`` calls produce.
+The run is logged as ONE coalesced row; nothing in a ``RunResult`` reads
+labels, and :meth:`~CommandQueue.busy_intervals` merges the back-to-back
+rows into exactly that span anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+
+def fold_sum(seed: float, values: np.ndarray) -> float:
+    """``seed + values[0] + values[1] + ...`` added strictly left to right.
+
+    Bitwise equal to a scalar ``acc += v`` loop, unlike ``np.sum``.
+    """
+    if not len(values):
+        return seed
+    return float(np.add.accumulate(np.concatenate(([seed], values)))[-1])
 
 
 @dataclass(frozen=True)
@@ -114,6 +134,37 @@ class CommandQueue:
         self._busy_total += busy
         self._busy_by_kind[kind] = self._busy_by_kind.get(kind, 0.0) + busy
         return start, end
+
+    def submit_run(self, label: str, durations: Sequence[float],
+                   kind: str = "work") -> Tuple[np.ndarray, np.ndarray]:
+        """Submit back-to-back items (no ``not_before``) as one fold.
+
+        Equivalent to ``submit_fast(label_i, d, 0.0, kind)`` for each ``d``
+        in ``durations`` — the same end times and ``free_at``/busy
+        accumulators, bitwise — but logged as one coalesced
+        ``(start_0, end_last)`` row labelled ``label``.  Returns the float64
+        arrays ``(ends, busies)``, one entry per item, where ``busies[i]``
+        is ``ends[i] - starts[i]`` (callers fold their own totals from it
+        with :func:`fold_sum`).  An empty run changes nothing.
+        """
+        durs = np.asarray(durations, dtype=np.float64)
+        if not len(durs):
+            return durs, durs
+        if (durs < 0).any():
+            raise ValueError("duration must be non-negative")
+        # submit_fast starts at max(free_at, 0.0) == free_at.
+        ends = np.add.accumulate(np.concatenate(([self._free_at], durs)))
+        busies = ends[1:] - ends[:-1]
+        start, end = self._free_at, float(ends[-1])
+        ends = ends[1:]
+        self._free_at = end
+        self._labels.append(label)
+        self._starts.append(start)
+        self._ends.append(end)
+        self._kinds.append(kind)
+        self._busy_total = fold_sum(self._busy_total, busies)
+        self._busy_by_kind[kind] = fold_sum(self._busy_by_kind.get(kind, 0.0), busies)
+        return ends, busies
 
     def advance_to(self, time_ms: float) -> None:
         """Force the queue idle until ``time_ms`` (barriers, model swaps)."""

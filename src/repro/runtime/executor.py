@@ -45,6 +45,7 @@ from repro.gpusim.device import DeviceProfile
 from repro.gpusim.engine import Simulation
 from repro.gpusim import pricing
 from repro.gpusim.kernels import FlashAttentionKernel
+from repro.gpusim.queues import fold_sum
 from repro.gpusim.texture import texture_bytes, winograd_expansion
 from repro.kernels.codegen import ExecStyle, KernelBundle
 from repro.kernels.rewriter import KernelRewriter
@@ -870,7 +871,7 @@ class FlashMemExecutor:
         upstream IO dependency — the common case for fully-preloaded models
         and steady decode segments) take a vectorized bulk path: the GPU
         clock is a strict left-fold of durations, which
-        ``np.add.accumulate`` reproduces bitwise.
+        :meth:`CommandQueue.submit_run` reproduces bitwise.
         """
         if all(ins[0] == _OP_EXEC and not ins[2] for ins in trace):
             exec_total = FlashMemExecutor._replay_bulk(
@@ -967,49 +968,20 @@ class FlashMemExecutor:
         """Vectorized replay of a pure-compute trace (``_replay``'s fast path).
 
         With no IO dependencies every kernel starts the instant the GPU
-        frees, so the event times are the strict left-fold
-        ``end_i = end_{i-1} + dur_i`` — exactly what ``np.add.accumulate``
-        computes (unlike ``np.sum``/``cumsum``'s pairwise trees, ufunc
-        accumulation is the sequential recurrence, so every intermediate is
-        bitwise what the scalar loop produces).  The busy/exec accumulators
-        are folded the same way, seeded with their running values.  Memory
-        deltas attach to the precomputed end times column-by-column; the
+        frees, so the whole replay is one :meth:`CommandQueue.submit_run`
+        (bitwise the per-kernel submits, logged as one coalesced row).
+        Memory deltas attach to the returned end times column-by-column; the
         timeline integration lexsorts the whole log, so append order does
         not affect the result.
-
-        The event log gets ONE coalesced row for the whole replay instead of
-        ``reps * k`` per-kernel rows.  This is observability-lossy (no
-        per-kernel labels for the replayed span) but result-exact: nothing
-        in a :class:`RunResult` reads labels, the busy accumulators are
-        synced from the folds above, and ``busy_intervals`` — the energy
-        model's only column consumer — merges the back-to-back kernel rows
-        into exactly the ``(gpu_free, ends[-1])`` span this row spells out
-        (zero-duration kernels never advance the clock, so coverage is
-        contiguous either way; an all-zero replay span is skipped by the
-        merge in both representations).
         """
         reps = iterations - start_it
         k = len(trace)
-        gpu = sim.queues.gpu
-        gpu_labels, gpu_starts, gpu_ends, gpu_kinds = gpu.replay_columns()
-        gpu_free, gpu_busy, gpu_kind_tot = gpu.clock_state()
-        gpu_compute = gpu_kind_tot.get("compute", 0.0)
-
         durs = np.tile(np.array([ins[1] for ins in trace], dtype=np.float64), reps)
-        ends = np.add.accumulate(np.concatenate(([gpu_free], durs)))[1:]
-        starts = np.concatenate(([gpu_free], ends[:-1]))
-        busies = ends - starts
-        exec_total = float(np.add.accumulate(np.concatenate(([exec_total], busies)))[-1])
-        gpu_busy = float(np.add.accumulate(np.concatenate(([gpu_busy], busies)))[-1])
-        gpu_compute = float(np.add.accumulate(np.concatenate(([gpu_compute], busies)))[-1])
-
-        gpu_starts.append(float(starts[0]))
-        gpu_ends.append(float(ends[-1]))
-        gpu_labels.append(
-            f"{tag_prefix}{start_it}-{iterations - 1}:replay[{reps}x{k} kernels]"
+        ends, busies = sim.queues.gpu.submit_run(
+            f"{tag_prefix}{start_it}-{iterations - 1}:replay[{reps}x{k} kernels]",
+            durs,
+            "compute",
         )
-        gpu_kinds.append("compute")
-
         deltas = sim.raw_deltas()
         ends_mat = ends.reshape(reps, k)
         for j, ins in enumerate(trace):
@@ -1022,7 +994,4 @@ class FlashMemExecutor:
                     deltas.extend((e, -um_freed, 0) for e in col)
             for size in ins[4]:
                 deltas.extend((e, -size, 0) for e in col)
-
-        gpu_kind_tot["compute"] = gpu_compute
-        gpu.sync_clock(float(ends[-1]), gpu_busy, gpu_kind_tot)
-        return exec_total
+        return fold_sum(exec_total, busies)

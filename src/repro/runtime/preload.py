@@ -12,11 +12,14 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+import numpy as np
+
 from repro.graph.dag import Graph
 from repro.gpusim.device import DeviceProfile
 from repro.gpusim.engine import Simulation
 from repro.gpusim import pricing
 from repro.gpusim.kernels import FlashAttentionKernel
+from repro.gpusim.queues import fold_sum
 from repro.gpusim.texture import texture_bytes, winograd_expansion
 from repro.runtime.frameworks import FrameworkProfile
 from repro.runtime.scenario import Scenario, resolve_scenario
@@ -143,6 +146,26 @@ class PreloadExecutor:
         from repro.graph.ops import OpKind
 
         node_list = list(graph.nodes())
+        eff = profile.exec_efficiency
+        conv_eff = profile.conv_exec_efficiency
+
+        def node_eff(node) -> float:
+            return conv_eff if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D) else eff
+
+        # Back-to-back compute with every weight resident: the table path
+        # submits whole runs of kernels through ``gpu.submit_run`` (bitwise
+        # the per-kernel submits); the scalar per-node loop is its oracle.
+        durations = None
+        if use_cost_tables:
+            # Pure function of the frozen graph and the profile efficiencies,
+            # so the rows are memoized on the graph across runs.
+            rows = graph._frozen_aggregate(
+                ("pricing-rows", conv_eff, eff),
+                lambda: tuple(
+                    pricing.spec_row(node.spec, efficiency=node_eff(node)) for node in node_list
+                ),
+            )
+            durations = pricing.kernel_time_table(device, rows)
 
         if scenario.is_decode:
             # Preloading decode: the whole KV cache is unified-memory
@@ -172,93 +195,64 @@ class PreloadExecutor:
             tile = tiles.pop()
             context_len, tokens = scenario.context_len, scenario.tokens
             token_bytes = sum(c.token_bytes for c in caches.values())
-            deltas_append = sim.raw_deltas().append
+            deltas = sim.raw_deltas()
             if context_len > 0:
-                deltas_append((init_end, context_len * token_bytes, 0))
-
-            eff = profile.exec_efficiency
-            conv_eff = profile.conv_exec_efficiency
-            base_durs = None
-            if use_cost_tables:
-                rows = graph._frozen_aggregate(
-                    ("pricing-rows", conv_eff, eff),
-                    lambda: tuple(
-                        pricing.spec_row(
-                            node.spec,
-                            efficiency=(
-                                conv_eff
-                                if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
-                                else eff
-                            ),
-                        )
-                        for node in node_list
-                    ),
-                )
-                base_durs = pricing.kernel_time_table(device, rows).tolist()
+                deltas.append((init_end, context_len * token_bytes, 0))
 
             exec_time = 0.0
-            submit_fast = gpu.submit_fast
-            fl = {}
-            prev_tiles = -1
-            for t in range(tokens):
-                kv = context_len + t + 1
-                n_tiles = -(-kv // tile)
-                if n_tiles != prev_tiles:
-                    # Per-token cost only changes when the cache crosses a
-                    # tile boundary (all tiles are priced full).
-                    prev_tiles = n_tiles
-                    if use_cost_tables:
-                        frows = tuple(
-                            pricing.flash_row(
-                                k, kv, resident_tiles=None, texture=False, efficiency=eff
+            if durations is not None:
+                # Per-token cost only changes when the cache crosses a tile
+                # boundary (all tiles are priced full), so each run of tokens
+                # with equal tile count is priced once and submitted as one
+                # fold.
+                t = 0
+                while t < tokens:
+                    kv = context_len + t + 1
+                    run = min(tokens, -(-kv // tile) * tile - context_len) - t
+                    frows = tuple(
+                        pricing.flash_row(k, kv, resident_tiles=None, texture=False, efficiency=eff)
+                        for k in flash_kernels
+                    )
+                    per_token = durations.copy()
+                    per_token[flash_pos] = pricing.flash_attention_time_table(device, frows)
+                    ends, busies = gpu.submit_run(
+                        f"t{t}-{t + run - 1}:exec[{run}x{len(node_list)} kernels]",
+                        np.tile(per_token, run),
+                        "compute",
+                    )
+                    exec_time = fold_sum(exec_time, busies)
+                    ends_mat = ends.reshape(run, len(node_list))
+                    for pos, kvd in append_delta.items():
+                        deltas.extend((e, kvd, 0) for e in ends_mat[:, pos].tolist())
+                    t += run
+            else:
+                submit_fast = gpu.submit_fast
+                fl = {}
+                prev_tiles = -1
+                for t in range(tokens):
+                    kv = context_len + t + 1
+                    n_tiles = -(-kv // tile)
+                    if n_tiles != prev_tiles:
+                        prev_tiles = n_tiles
+                        fl = {
+                            pos: k.time_ms(
+                                device, kv, resident_tiles=None, texture=False, efficiency=eff
                             )
-                            for k in flash_kernels
-                        )
-                        fl = dict(
-                            zip(flash_pos, pricing.flash_attention_time_table(device, frows).tolist())
-                        )
-                    else:
-                        fl = dict(
-                            zip(
-                                flash_pos,
-                                (
-                                    k.time_ms(
-                                        device, kv, resident_tiles=None, texture=False, efficiency=eff
-                                    )
-                                    for k in flash_kernels
-                                ),
-                            )
-                        )
-                for pos, node in enumerate(node_list):
-                    fdur = fl.get(pos)
-                    if fdur is not None:
-                        duration = fdur
-                    elif base_durs is not None:
-                        duration = base_durs[pos]
-                    else:
-                        duration = sim.cost.base_time_ms(
-                            node.spec,
-                            efficiency=(
-                                conv_eff
-                                if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
-                                else eff
-                            ),
-                        )
-                    start, end = submit_fast(f"t{t}:exec:{node.name}", duration, 0.0, "compute")
-                    exec_time += end - start
-                    kvd = append_delta.get(pos)
-                    if kvd is not None:
-                        deltas_append((end, kvd, 0))
-            sim.phases.execute = exec_time
+                            for pos, k in zip(flash_pos, flash_kernels)
+                        }
+                    for pos, node in enumerate(node_list):
+                        duration = fl.get(pos)
+                        if duration is None:
+                            duration = sim.cost.base_time_ms(node.spec, efficiency=node_eff(node))
+                        start, end = submit_fast(f"t{t}:exec:{node.name}", duration, 0.0, "compute")
+                        exec_time += end - start
+                        kvd = append_delta.get(pos)
+                        if kvd is not None:
+                            deltas.append((end, kvd, 0))
             end = sim.queues.makespan_ms
             total_kv = (context_len + tokens) * token_bytes
             if total_kv:
-                deltas_append((end, -total_kv, 0))
-            sim.free_all(end)
-            pricing_delta = stats.delta_since(stats_before)
-            wall = time.perf_counter() - wall0
-            stats.runs += 1
-            stats.sim_s += wall
+                deltas.append((end, -total_kv, 0))
             decode_ms = end - init_end
             details = {
                 "tokens": float(tokens),
@@ -267,80 +261,44 @@ class PreloadExecutor:
                 "decode_ms": decode_ms,
                 "ms_per_token": decode_ms / tokens,
                 "kv_bytes": float(total_kv),
-                "sim_s": wall,
-                "pricing_hits": float(pricing_delta["table_hits"]),
-                "pricing_misses": float(pricing_delta["table_misses"]),
             }
-            if sim.oom:
-                details["oom"] = 1.0
-                if raise_on_oom:
-                    from repro.gpusim.memory import OutOfMemoryError
-
-                    raise OutOfMemoryError(
-                        0, sim.build_timeline().peak_bytes, device.ram_budget_bytes
-                    )
-            return sim.finish(details=details)
-
-        durations = None
-        if use_cost_tables:
-            conv_eff = profile.conv_exec_efficiency
-            base_eff = profile.exec_efficiency
-            # Pure function of the frozen graph and the profile efficiencies,
-            # so the rows are memoized on the graph across runs.
-            rows = graph._frozen_aggregate(
-                ("pricing-rows", conv_eff, base_eff),
-                lambda: tuple(
-                    pricing.spec_row(
-                        node.spec,
-                        efficiency=(
-                            conv_eff
-                            if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
-                            else base_eff
-                        ),
-                    )
-                    for node in node_list
-                ),
-            )
-            durations = pricing.kernel_time_table(device, rows).tolist()
-
-        exec_time = 0.0
-        submit_fast = gpu.submit_fast
-        for it in range(iterations):
+        else:
             if durations is not None:
-                for node, duration in zip(node_list, durations):
-                    start, end = submit_fast(f"exec{it}:{node.name}", duration, 0.0, "compute")
-                    exec_time += end - start
+                ends, busies = gpu.submit_run(
+                    f"exec0-{iterations - 1}:[{iterations}x{len(node_list)} kernels]",
+                    np.tile(durations, iterations),
+                    "compute",
+                )
+                exec_time = fold_sum(0.0, busies)
             else:
-                for node in node_list:
-                    eff = (
-                        profile.conv_exec_efficiency
-                        if node.kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D)
-                        else profile.exec_efficiency
-                    )
-                    start, end = submit_fast(
-                        f"exec{it}:{node.name}",
-                        sim.cost.base_time_ms(node.spec, efficiency=eff),
-                        0.0,
-                        "compute",
-                    )
-                    exec_time += end - start
+                exec_time = 0.0
+                submit_fast = gpu.submit_fast
+                for it in range(iterations):
+                    for node in node_list:
+                        start, end = submit_fast(
+                            f"exec{it}:{node.name}",
+                            sim.cost.base_time_ms(node.spec, efficiency=node_eff(node)),
+                            0.0,
+                            "compute",
+                        )
+                        exec_time += end - start
+            end = sim.queues.makespan_ms
+            details = {
+                "iterations": float(iterations),
+                "init_ms": init_end,
+                "exec_per_iter_ms": exec_time / max(1, iterations),
+            }
         sim.phases.execute = exec_time
 
         # ---- Teardown ----------------------------------------------------
-        end = sim.queues.makespan_ms
         sim.free_all(end)
         pricing_delta = stats.delta_since(stats_before)
         wall = time.perf_counter() - wall0
         stats.runs += 1
         stats.sim_s += wall
-        details = {
-            "iterations": float(iterations),
-            "init_ms": init_end,
-            "exec_per_iter_ms": exec_time / max(1, iterations),
-            "sim_s": wall,
-            "pricing_hits": float(pricing_delta["table_hits"]),
-            "pricing_misses": float(pricing_delta["table_misses"]),
-        }
+        details["sim_s"] = wall
+        details["pricing_hits"] = float(pricing_delta["table_hits"])
+        details["pricing_misses"] = float(pricing_delta["table_misses"])
         if sim.oom:
             details["oom"] = 1.0
             if raise_on_oom:

@@ -46,6 +46,17 @@ class TestCaches:
         b = common.cached_graph("ResNet50")
         assert a is not b
 
+    def test_lowered_graph_cached_and_cleared(self):
+        from repro.graph.lowering import eliminate_layout_ops, layout_op_count
+
+        a = common.cached_lowered_graph("ViT")
+        assert common.cached_lowered_graph("ViT") is a
+        assert layout_op_count(a) == 0
+        fresh = eliminate_layout_ops(common.cached_graph("ViT"))
+        assert [n.name for n in a.nodes()] == [n.name for n in fresh.nodes()]
+        common.clear_caches()
+        assert common.cached_lowered_graph("ViT") is not a
+
     def test_experiment_config_overrides(self):
         cfg = common.experiment_opg_config(lookback=7)
         assert cfg.lookback == 7

@@ -93,25 +93,62 @@ def test_table_memoized_and_counted(sample_ops):
     assert not first.flags.writeable  # shared array is read-only
 
 
+VOLATILE_DETAILS = {"sim_s", "pricing_hits", "pricing_misses"}
+
+
+def _assert_same_run(fast, slow):
+    """Every result field bitwise equal, bar the host-side details."""
+    assert fast.latency_ms == slow.latency_ms
+    assert fast.phases == slow.phases
+    assert fast.memory.samples == slow.memory.samples
+    assert fast.peak_memory_bytes == slow.peak_memory_bytes
+    assert fast.avg_memory_bytes == slow.avg_memory_bytes
+    assert fast.energy_j == slow.energy_j
+    assert fast.avg_power_w == slow.avg_power_w
+    fast_details = {k: v for k, v in fast.details.items() if k not in VOLATILE_DETAILS}
+    slow_details = {k: v for k, v in slow.details.items() if k not in VOLATILE_DETAILS}
+    assert fast_details == slow_details
+
+
 def test_preload_executor_tables_match_scalar_path():
     """End-to-end: PreloadExecutor prices identically with tables on/off."""
     from repro.gpusim.device import oneplus_12
     from repro.runtime.frameworks import get_profile
     from repro.runtime.preload import PreloadExecutor
+    from repro.runtime.scenario import Scenario
 
     graph = load_model("ViT")
-    volatile = {"sim_s", "pricing_hits", "pricing_misses"}
+    scenario = Scenario.prefill(2)
     for framework in ("MNN", "ETorch", "SMem"):
         executor = PreloadExecutor(get_profile(framework), oneplus_12())
-        fast = executor.run(graph, iterations=2, check_support=False, use_cost_tables=True)
-        slow = executor.run(graph, iterations=2, check_support=False, use_cost_tables=False)
-        assert fast.latency_ms == slow.latency_ms
-        assert fast.phases == slow.phases
-        assert fast.memory.samples == slow.memory.samples
-        assert fast.peak_memory_bytes == slow.peak_memory_bytes
-        assert fast.avg_memory_bytes == slow.avg_memory_bytes
-        assert fast.energy_j == slow.energy_j
-        assert fast.avg_power_w == slow.avg_power_w
-        fast_details = {k: v for k, v in fast.details.items() if k not in volatile}
-        slow_details = {k: v for k, v in slow.details.items() if k not in volatile}
-        assert fast_details == slow_details
+        fast = executor.run(graph, scenario=scenario, check_support=False, use_cost_tables=True)
+        slow = executor.run(graph, scenario=scenario, check_support=False, use_cost_tables=False)
+        _assert_same_run(fast, slow)
+
+
+@pytest.mark.parametrize("device_name", ("OnePlus 12", "Pixel 8"))
+@pytest.mark.parametrize(
+    "context_len,tokens",
+    [
+        # 256-token tiles: the cache grows 201 -> 530, crossing 256 and 512,
+        # from a context that is not a tile multiple.
+        (200, 330),
+        (37, 1),
+    ],
+)
+def test_preload_decode_bulk_matches_scalar_path(device_name, context_len, tokens):
+    """Decode: per-tile-run bulk submits equal the per-token scalar loop."""
+    from repro.gpusim.device import get_device
+    from repro.graph.models import load_decode_model
+    from repro.runtime.frameworks import get_profile
+    from repro.runtime.preload import PreloadExecutor
+    from repro.runtime.scenario import Scenario
+
+    graph = load_decode_model("GPTN-S", context_len=context_len)
+    scenario = Scenario.decode(tokens=tokens, context_len=context_len)
+    for framework in ("MNN", "SMem", "ETorch"):
+        executor = PreloadExecutor(get_profile(framework), get_device(device_name))
+        fast = executor.run(graph, scenario=scenario, check_support=False, use_cost_tables=True)
+        slow = executor.run(graph, scenario=scenario, check_support=False, use_cost_tables=False)
+        _assert_same_run(fast, slow)
+        assert fast.details["tokens"] == tokens
