@@ -5,7 +5,6 @@ from repro.core.flashmem import CompiledModel, FlashMem
 from repro.core.store import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactStore,
-    PlanStore,
     config_fingerprint,
     flashmem_config_fingerprint,
     stable_fingerprint,
@@ -13,6 +12,6 @@ from repro.core.store import (
 
 __all__ = [
     "FlashMemConfig", "CompiledModel", "FlashMem",
-    "ArtifactStore", "ARTIFACT_SCHEMA_VERSION", "PlanStore",
+    "ArtifactStore", "ARTIFACT_SCHEMA_VERSION",
     "config_fingerprint", "flashmem_config_fingerprint", "stable_fingerprint",
 ]

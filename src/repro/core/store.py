@@ -2,20 +2,15 @@
 
 The paper emphasises that LC-OPG runs *offline* and its plans are reusable
 deployment artifacts ("generating a reusable overlap plan that incurs no
-runtime overhead").  Two stores implement that flow:
-
-- :class:`ArtifactStore` — the general, content-addressed store behind the
-  experiment pipeline.  It persists arbitrary pickled artifacts (compiled
-  models, run results, trained capacity models, rendered driver outputs)
-  keyed by a structured key
-  dict; the path is derived from a digest of the key plus the artifact
-  schema version, so a schema bump or any key change addresses a fresh
-  entry.  Writes are atomic (unique tmp file + ``os.replace``) so racing
-  writers can never tear an entry, and unreadable entries are quarantined
-  to a ``.corrupt`` sibling instead of being silently re-missed forever.
-- :class:`PlanStore` — the original plan-only store, kept with its
-  human-readable ``model__device__fingerprint.json`` layout for plan
-  inspection and the ``plan`` CLI flow.
+runtime overhead").  :class:`ArtifactStore` implements that flow: the
+general, content-addressed store behind the experiment pipeline and the
+compile service.  It persists arbitrary pickled artifacts (compiled models,
+run results, trained capacity models, rendered driver outputs) keyed by a
+structured key dict; the path is derived from a digest of the key plus the
+artifact schema version, so a schema bump or any key change addresses a
+fresh entry.  Writes are atomic (unique tmp file + ``os.replace``) so racing
+writers can never tear an entry, and unreadable entries are quarantined to
+a ``.corrupt`` sibling instead of being silently re-missed forever.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.opg.plan import OverlapPlan
 from repro.opg.problem import OpgConfig
 
 #: Version of the on-disk artifact format.  Bump whenever the pickled
@@ -108,7 +102,7 @@ def _atomic_write_bytes(path: pathlib.Path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _quarantine_artifact(path: pathlib.Path, reason: str, *, store: str) -> pathlib.Path:
+def _quarantine_artifact(path: pathlib.Path, reason: str) -> pathlib.Path:
     """Move an unreadable artifact to a ``.corrupt`` sibling and warn."""
     dest = path.with_name(path.name + ".corrupt")
     try:
@@ -116,7 +110,7 @@ def _quarantine_artifact(path: pathlib.Path, reason: str, *, store: str) -> path
     except OSError:  # racing reader already quarantined it
         pass
     warnings.warn(
-        f"{store}: quarantined corrupt artifact {path.name} -> {dest.name} ({reason}); "
+        f"ArtifactStore: quarantined corrupt artifact {path.name} -> {dest.name} ({reason}); "
         "it will be re-solved and re-saved once",
         RuntimeWarning,
         stacklevel=3,
@@ -214,7 +208,7 @@ class ArtifactStore:
         except Exception as exc:  # pickle/EOF/attribute errors, bad envelope
             self.stats.misses += 1
             self.stats.corrupt += 1
-            _quarantine_artifact(path, f"{type(exc).__name__}: {exc}", store="ArtifactStore")
+            _quarantine_artifact(path, f"{type(exc).__name__}: {exc}")
             return None
         self.stats.hits += 1
         return envelope["value"]
@@ -249,63 +243,3 @@ class ArtifactStore:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.pkl"))
-
-
-class PlanStore:
-    """Directory-backed store of overlap plans."""
-
-    def __init__(self, root: pathlib.Path) -> None:
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, model: str, device: str, config: OpgConfig) -> pathlib.Path:
-        name = f"{_sanitize(model)}__{_sanitize(device)}__{config_fingerprint(config)}.json"
-        return self.root / name
-
-    def load(self, model: str, device: str, config: OpgConfig) -> Optional[OverlapPlan]:
-        """Return the stored plan, or None when absent or quarantined.
-
-        A corrupt artifact is renamed to a ``.corrupt`` sibling with a
-        warning, so it is re-solved exactly once instead of being re-parsed
-        (and silently missed) on every launch.
-        """
-        path = self._path(model, device, config)
-        if not path.exists():
-            return None
-        try:
-            return OverlapPlan.from_json(path.read_text())
-        except (ValueError, KeyError, TypeError) as exc:
-            _quarantine_artifact(path, f"{type(exc).__name__}: {exc}", store="PlanStore")
-            return None
-
-    def save(self, plan: OverlapPlan, config: OpgConfig) -> pathlib.Path:
-        """Atomically persist the plan.
-
-        Writes to a writer-unique ``.tmp`` sibling and ``os.replace``s into
-        place, so a crash mid-write can never leave a truncated artifact
-        (the ``.tmp`` suffix also keeps partial writes out of
-        :meth:`entries`' ``*.json`` glob).
-        """
-        path = self._path(plan.model, plan.device, config)
-        _atomic_write_bytes(path, plan.to_json().encode())
-        return path
-
-    def get_or_solve(self, graph, capacity_model, config: OpgConfig, *, device_name: str) -> OverlapPlan:
-        """Cached solve: load a stored plan or run LC-OPG and persist it."""
-        cached = self.load(graph.name, device_name, config)
-        if cached is not None:
-            return cached
-        from repro.opg.lcopg import LcOpgSolver
-
-        plan = LcOpgSolver(config).solve(graph, capacity_model, device_name=device_name)
-        self.save(plan, config)
-        return plan
-
-    def entries(self):
-        """(model, device, fingerprint) triples currently stored."""
-        out = []
-        for path in sorted(self.root.glob("*.json")):
-            parts = path.stem.split("__")
-            if len(parts) == 3:
-                out.append(tuple(parts))
-        return out

@@ -49,8 +49,11 @@ byte-identical plans.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+import gc
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -200,6 +203,40 @@ class WindowCache:
         return self.hits / lookups if lookups else 0.0
 
 
+#: Solves currently holding the collector off, and whether it was enabled
+#: before the first of them; guarded by ``_GC_LOCK`` (solves may run on
+#: several threads, and the collector switch is process-wide).
+_GC_LOCK = threading.Lock()
+_gc_pausers = 0
+_gc_was_enabled = False
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Hold the cyclic garbage collector off for one timed solve.
+
+    Window slices are wall-clock (remaining budget / remaining windows), and
+    a full collection over a large heap stalls for tens of milliseconds:
+    longer than a whole CP slice under a short budget.  The cut-off, and
+    with it the plan, would then depend on the process's heap history.
+    Reference counting still frees acyclic garbage; cycles wait until the
+    last concurrent solve ends and the collector is restored.
+    """
+    global _gc_pausers, _gc_was_enabled
+    with _GC_LOCK:
+        if _gc_pausers == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pausers += 1
+    try:
+        yield
+    finally:
+        with _GC_LOCK:
+            _gc_pausers -= 1
+            if _gc_pausers == 0 and _gc_was_enabled:
+                gc.enable()
+
+
 class LcOpgSolver:
     """Load-capacity-aware overlap planner.
 
@@ -264,6 +301,16 @@ class LcOpgSolver:
         priority (no extra preload); λ -> 1 linearly approaches full
         preload, matching the paper's "higher preload ratio via larger λ".
         """
+        with _gc_paused():
+            return self._solve(graph, capacity_model, device_name, target_preload_ratio)
+
+    def _solve(
+        self,
+        graph: Graph,
+        capacity_model: LoadCapacityModel,
+        device_name: str,
+        target_preload_ratio: Optional[float],
+    ) -> OverlapPlan:
         stats = PlanStats()
         t0 = time.perf_counter()
         problem = build_problem(graph, capacity_model, self.config)

@@ -1,25 +1,32 @@
-"""The plan-compilation daemon: queue → dedup → batched lookup → pool → publish.
+"""The plan-compilation daemon: queue → dedup → resident/batched lookup → pool → publish.
 
 Dataflow of one batch (see DESIGN.md "Plan-compilation service"):
 
 1. **queue** — ``submit()`` enqueues ``(request, future)`` pairs; the single
    drain task pulls one entry and then opportunistically drains everything
    already queued, so a burst of requests is processed as one batch.
-2. **dedup** — requests are grouped by content-address fingerprint.
-   Duplicates of an *in-flight* compile attach to its waiter list;
-   duplicates within the batch collapse into one group.  K identical
-   concurrent requests therefore cost one store lookup and at most one
-   compile.
-3. **batched lookup** — the deduplicated keys are resolved against the
-   shared :class:`ArtifactStore` in one :meth:`~ArtifactStore.load_many`
-   pass (off the event loop); hits are served immediately.
+2. **dedup** — each request's content address is computed once and
+   requests are grouped by its fingerprint.  Duplicates of an *in-flight*
+   compile attach to its waiter list; duplicates within the batch collapse
+   into one group.  K identical concurrent requests therefore cost one
+   lookup and at most one compile.
+3. **resident/batched lookup** — deduplicated keys first consult the
+   daemon's bounded in-memory LRU of decoded artifacts
+   (:data:`RESIDENT_ARTIFACTS` entries); resident hits are served at once
+   with no store read.  The rest resolve against the shared
+   :class:`ArtifactStore` in one :meth:`~ArtifactStore.load_many` pass
+   (off the event loop); hits are served immediately and become resident.
 4. **pool** — misses fan out over the pre-warmed
    :class:`~repro.service.pool.CompilePool`; workers consult their private
    read-through stores and write results there (never to the shared store).
 5. **publish** — the daemon, the single shared-store writer, copies each
    worker's already-pickled envelope bytes into the shared store
    (:meth:`ArtifactStore.publish_bytes`) and resolves every waiter with the
-   same :class:`ServiceReply` payload.
+   same :class:`ServiceReply` payload.  The decoded model becomes resident.
+
+Entries are content-addressed (the key folds in the full config fingerprint
+and the artifact schema version), so a resident model can never be stale.
+Every reply for one key shares one read-only :class:`CompiledModel`.
 
 Plans served by any route are canonically byte-identical to a direct
 ``FlashMem.compile`` of the same request (``OverlapPlan.canonical_json``).
@@ -29,16 +36,21 @@ from __future__ import annotations
 
 import asyncio
 import pathlib
-import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flashmem import CompiledModel
-from repro.core.store import ArtifactStore
+from repro.core.store import ArtifactStore, stable_fingerprint
 from repro.service.pool import CompilePool, raise_recursion_limit
 from repro.service.request import CompileRequest
 from repro.service.store import unpickle_envelope
 from repro.sweep.runner import PathLike
+
+#: Decoded artifacts the daemon keeps in memory (LRU by dedup token).  A
+#: resident compiled model is about 2-3 MB, so this bounds residency near
+#: 100 MB.
+RESIDENT_ARTIFACTS = 32
 
 
 class ServiceError(RuntimeError):
@@ -57,8 +69,10 @@ class ServiceStats:
     #: Requests that attached to an identical compile instead of paying one
     #: themselves (in-flight attach or same-batch collapse).
     coalesced: int = 0
-    #: Requests served straight from the shared store's batched lookup.
+    #: Requests served without compiling: resident or batched-lookup hits.
     store_hits: int = 0
+    #: The subset of ``store_hits`` served from daemon memory (no store read).
+    resident_hits: int = 0
     #: Compilations dispatched to the pool.
     compiles: int = 0
     failures: int = 0
@@ -68,7 +82,8 @@ class ServiceStats:
     def snapshot(self) -> Dict[str, int]:
         return {
             "requests": self.requests, "coalesced": self.coalesced,
-            "store_hits": self.store_hits, "compiles": self.compiles,
+            "store_hits": self.store_hits, "resident_hits": self.resident_hits,
+            "compiles": self.compiles,
             "failures": self.failures, "batches": self.batches,
             "max_batch": self.max_batch,
         }
@@ -80,7 +95,7 @@ class ServiceReply:
 
     request: CompileRequest
     compiled: CompiledModel
-    #: "store" (batched lookup hit), "compiled" (pool compile), or
+    #: "store" (resident or batched lookup hit), "compiled" (pool compile), or
     #: "worker-store" (worker's read-through store already had it).
     source: str
     #: True when this waiter attached to another request's compile/lookup.
@@ -99,6 +114,7 @@ class _Inflight:
     """One dispatched compile and everyone waiting on it."""
 
     request: CompileRequest
+    key: Dict[str, Any]
     waiters: List["asyncio.Future[ServiceReply]"] = field(default_factory=list)
 
 
@@ -107,7 +123,7 @@ class PlanCompilationService:
 
     ``workers`` sizes the compile pool (0 = in-process inline mode);
     ``cache_dir`` roots the shared artifact store (None = no persistence:
-    the service still coalesces, but every unique request compiles).
+    the service still coalesces and serves resident artifacts from memory).
     """
 
     def __init__(self, *, workers: int = 1, cache_dir: Optional[PathLike] = None,
@@ -122,6 +138,8 @@ class PlanCompilationService:
         self.stats = ServiceStats()
         self._queue: Optional[asyncio.Queue] = None
         self._inflight: Dict[str, _Inflight] = {}
+        #: dedup token → decoded model; touched only on the event loop.
+        self._resident: "OrderedDict[str, CompiledModel]" = OrderedDict()
         self._drainer: Optional[asyncio.Task] = None
         self._finishers: "set[asyncio.Task]" = set()
         self._closed = False
@@ -165,6 +183,7 @@ class PlanCompilationService:
                 if not fut.done():
                     fut.set_exception(ServiceClosed("service closed"))
         self._inflight.clear()
+        self._resident.clear()
         await asyncio.get_running_loop().run_in_executor(None, self.pool.close)
 
     # ---------------------------------------------------------------- intake
@@ -207,10 +226,11 @@ class PlanCompilationService:
         # loop — in-flight membership checks and attaches must be atomic
         # with respect to _finish() resolving entries.
         groups: Dict[str, List[asyncio.Future]] = {}
-        leaders: Dict[str, CompileRequest] = {}
+        leaders: Dict[str, Tuple[CompileRequest, Dict[str, Any]]] = {}
         for request, fut in batch:
             self.stats.requests += 1
-            token = request.dedup_token()
+            key = request.store_key()
+            token = stable_fingerprint(key)  # == request.dedup_token()
             entry = self._inflight.get(token)
             if entry is not None:
                 entry.waiters.append(fut)
@@ -221,26 +241,38 @@ class PlanCompilationService:
                 self.stats.coalesced += 1
             else:
                 groups[token] = [fut]
-                leaders[token] = request
+                leaders[token] = (request, key)
 
-        tokens = list(leaders)
-        # Batched lookup: one load_many pass over the deduplicated keys,
-        # off the event loop (unpickling compiled models is not cheap).
+        # Resident lookup: decoded artifacts already in daemon memory.
+        tokens = []
+        for token, (request, _) in leaders.items():
+            compiled = self._resident.get(token)
+            if compiled is None:
+                tokens.append(token)
+                continue
+            self._resident.move_to_end(token)
+            self.stats.store_hits += 1
+            self.stats.resident_hits += 1
+            self._resolve_waiters(groups[token], request, compiled, "store", 0.0, None)
+
+        # Batched lookup: one load_many pass over the remaining keys, off
+        # the event loop (unpickling compiled models is not cheap).
         loop = asyncio.get_running_loop()
         if self.store is not None and tokens:
-            keys = [leaders[t].store_key() for t in tokens]
+            keys = [leaders[t][1] for t in tokens]
             values = await loop.run_in_executor(None, self.store.load_many, keys)
         else:
             values = [None] * len(tokens)
 
         for token, value in zip(tokens, values):
-            request = leaders[token]
+            request, key = leaders[token]
             waiters = groups[token]
             if value is not None:
                 self.stats.store_hits += 1
+                self._admit(token, value)
                 self._resolve_waiters(waiters, request, value, "store", 0.0, None)
                 continue
-            entry = _Inflight(request=request, waiters=waiters)
+            entry = _Inflight(request=request, key=key, waiters=waiters)
             self._inflight[token] = entry
             self.stats.compiles += 1
             pool_future = asyncio.wrap_future(
@@ -256,7 +288,7 @@ class PlanCompilationService:
         loop = asyncio.get_running_loop()
         try:
             raw = await pool_future
-            compiled = await loop.run_in_executor(None, self._publish, entry.request, raw)
+            compiled = await loop.run_in_executor(None, self._publish, entry.key, raw)
         except (Exception, asyncio.CancelledError) as exc:
             self._inflight.pop(token, None)
             self.stats.failures += 1
@@ -271,12 +303,13 @@ class PlanCompilationService:
             return
         # Waiters may still be attaching while _publish runs in the thread;
         # popping before resolving closes the window (later duplicates will
-        # hit the freshly published store entry instead).
+        # hit the freshly admitted resident entry instead).
         self._inflight.pop(token, None)
+        self._admit(token, compiled)
         self._resolve_waiters(entry.waiters, entry.request, compiled,
                               raw["source"], raw["wall_s"], raw["pid"])
 
-    def _publish(self, request: CompileRequest, raw: Dict[str, Any]) -> CompiledModel:
+    def _publish(self, key: Dict[str, Any], raw: Dict[str, Any]) -> CompiledModel:
         """Materialize a worker reply; publish its bytes to the shared store.
 
         Runs in the default thread executor.  The daemon is the only shared-
@@ -286,13 +319,19 @@ class PlanCompilationService:
         """
         if raw["path"] is None:
             return raw["value"]
-        key = request.store_key()
         blob = pathlib.Path(raw["path"]).read_bytes()
         if self.store is not None:
             shared_path = self.store.path_for(key)
             if pathlib.Path(raw["path"]) != shared_path:
                 self.store.publish_bytes(key, blob)
         return unpickle_envelope(blob, key, self.store.schema if self.store else None)
+
+    def _admit(self, token: str, compiled: CompiledModel) -> None:
+        """Make ``compiled`` resident, evicting the least recently used."""
+        self._resident[token] = compiled
+        self._resident.move_to_end(token)
+        while len(self._resident) > RESIDENT_ARTIFACTS:
+            self._resident.popitem(last=False)
 
     def _resolve_waiters(self, waiters: List[asyncio.Future], request: CompileRequest,
                          compiled: CompiledModel, source: str, wall_s: float,

@@ -112,6 +112,64 @@ class TestLcOpg:
             n: s.transforms for n, s in b.schedules.items()
         }
 
+    def test_collector_paused_during_solve_and_restored(self, capacity, monkeypatch):
+        """A collection pause must not eat a wall-clock window slice."""
+        import gc
+
+        from repro.opg import lcopg
+
+        seen = []
+        real = lcopg.build_problem
+
+        def spying(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lcopg, "build_problem", spying)
+        assert gc.isenabled()
+        LcOpgSolver(FAST).solve(_transformer(blocks=1), capacity)
+        assert seen == [False] and gc.isenabled()
+        gc.disable()
+        try:  # a caller that paused the collector itself keeps it paused
+            LcOpgSolver(FAST).solve(_transformer(blocks=1), capacity)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_pause_is_thread_safe(self):
+        """Overlapping pauses on many threads: the collector stays off while
+        any holds it and is back on once all are done."""
+        import gc
+        import sys
+        import threading
+        import time
+
+        from repro.opg.lcopg import _gc_paused
+
+        seen_enabled = []
+        start = threading.Barrier(8)
+
+        def churn():
+            start.wait(timeout=30)
+            for _ in range(1000):
+                with _gc_paused():
+                    time.sleep(0)  # let another thread enter or leave
+                    seen_enabled.append(gc.isenabled())
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen_enabled) == 8 * 1000 and not any(seen_enabled)
+        assert gc.isenabled()
+
 
 class TestPlanStructure:
     def _schedule(self):

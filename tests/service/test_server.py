@@ -68,6 +68,9 @@ class TestProtocol:
             assert response["solver_status"] in ("OPTIMAL", "FEASIBLE")
             stats = client.stats()["stats"]
             assert stats["requests"] == 1 and stats["compiles"] == 1
+            assert client.compile(REQUEST)["source"] == "store"
+            stats = client.stats()["stats"]
+            assert stats["resident_hits"] == 1 and stats["compiles"] == 1
 
     def test_served_plan_matches_direct_compile(self, served_socket):
         direct = execute_compile(REQUEST)

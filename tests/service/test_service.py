@@ -225,6 +225,100 @@ class TestCoalescing:
         assert r2.coalesced
 
 
+def _serve_sequentially(requests, **service_kwargs):
+    """Serve ``requests`` one at a time on one service; errors are returned."""
+    async def go():
+        async with PlanCompilationService(workers=0, **service_kwargs) as svc:
+            replies = []
+            for request in requests:
+                try:
+                    replies.append(await svc.submit(request))
+                except ServiceError as exc:
+                    replies.append(exc)
+            return replies, svc.stats.snapshot()
+
+    return asyncio.run(go())
+
+
+def _spy_load_many(monkeypatch):
+    """Record the keys of every ``ArtifactStore.load_many`` call."""
+    calls = []
+    real = ArtifactStore.load_many
+
+    def spying(self, keys):
+        calls.append(list(keys))
+        return real(self, keys)
+
+    monkeypatch.setattr(ArtifactStore, "load_many", spying)
+    return calls
+
+
+class TestResidency:
+    """Decoded artifacts stay in daemon memory: warm repeats read no store."""
+
+    def test_repeat_is_served_from_memory(self, monkeypatch, tmp_path):
+        loads = _spy_load_many(monkeypatch)
+        (first, second), stats = _serve_sequentially(
+            [_request(), _request()], cache_dir=tmp_path
+        )
+        assert len(loads) == 1  # the first request's miss only
+        assert second.compiled is first.compiled
+        assert (first.source, second.source) == ("compiled", "store")
+        assert stats["resident_hits"] == 1 and stats["store_hits"] == 1
+        assert stats["compiles"] == 1
+
+    def test_lru_evicts_the_oldest_key(self, monkeypatch, tmp_path):
+        from repro.service import daemon
+
+        monkeypatch.setattr(daemon, "RESIDENT_ARTIFACTS", 2)
+        a, b, c = _request(), _request(lam=0.5), _request(lam=0.7)
+        loads = _spy_load_many(monkeypatch)
+        replies, stats = _serve_sequentially([a, b, c, c, b, a, b], cache_dir=tmp_path)
+        assert stats["compiles"] == 3
+        # Only a (evicted when c arrived) goes back to the store, exactly
+        # once; its return evicts c, the least recently used, so b stays.
+        assert loads[3:] == [[a.store_key()]]
+        assert stats["resident_hits"] == 3 and stats["store_hits"] == 4
+        assert [r.source for r in replies[3:]] == ["store"] * 4
+        assert replies[6].compiled is replies[1].compiled
+        assert replies[5].compiled is not replies[0].compiled
+
+    def test_failures_are_never_resident(self, tmp_path):
+        bad = CompileRequest(model="NoSuchModel", time_limit_s=0.5)
+        replies, stats = _serve_sequentially([bad, bad], cache_dir=tmp_path)
+        assert all(isinstance(r, ServiceError) for r in replies)
+        assert stats["failures"] == 2 and stats["compiles"] == 2
+        assert stats["resident_hits"] == 0 and stats["store_hits"] == 0
+
+    def test_every_route_serves_identical_plan_bytes(self, tmp_path):
+        # The default budget compiles ViT as fast as 0.5 s does, with more
+        # headroom before a host stall could cut a CP window.
+        request = _request(time_limit_s=DEFAULT_TIME_LIMIT_S)
+        (compiled, resident), _ = _serve_sequentially(
+            [request, request], cache_dir=tmp_path
+        )
+        # A fresh service reloads from the store, then serves from memory.
+        (reloaded, again), stats = _serve_sequentially(
+            [request, request], cache_dir=tmp_path
+        )
+        assert stats["store_hits"] == 2 and stats["resident_hits"] == 1
+        assert again.compiled is reloaded.compiled
+        direct = execute_compile(request)
+        assert (compiled.source, resident.source, reloaded.source) == (
+            "compiled", "store", "store")
+        canon = {r.plan.canonical_json() for r in (compiled, resident, reloaded, direct)}
+        assert len(canon) == 1
+
+    def test_storeless_service_serves_repeat_without_compiling(self, monkeypatch):
+        calls = _count_compiles(monkeypatch)
+        (first, second), stats = _serve_sequentially(
+            [_request(), _request()], cache_dir=None
+        )
+        assert len(calls) == 1
+        assert second.source == "store" and second.compiled is first.compiled
+        assert stats["resident_hits"] == 1
+
+
 class TestFailureInjection:
     def test_poisoned_request_fails_without_wedging_the_queue(self, tmp_path):
         """An unknown model fails its own waiters; the service keeps serving."""
