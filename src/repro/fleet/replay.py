@@ -220,8 +220,10 @@ def replay_trace(
         area = float(np.dot(totals[:-1], held))
         area += float(totals[-1]) * (result.makespan_ms - float(times[-1]))
         result.avg_bytes = area / result.makespan_ms
+    # Hashed through the buffer protocol: the bytes ``tobytes()`` would
+    # copy out of the (contiguous) columns.
     digest = hashlib.sha256()
-    digest.update(times.tobytes())
-    digest.update(totals.tobytes())
+    digest.update(times)
+    digest.update(totals)
     result.timeline_sha256 = digest.hexdigest()
     return result

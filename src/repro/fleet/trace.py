@@ -11,6 +11,8 @@ be inspected, archived, and served back via ``repro serve-trace``.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import json
 import pathlib
 import random
@@ -102,6 +104,33 @@ class ThrottleWindow:
         )
 
 
+def _state_segments(
+    windows: Sequence[ThrottleWindow],
+) -> Tuple[List[float], List[str]]:
+    """The throttle envelope as a step function: ``(bounds, states)``.
+
+    ``states[j]`` is in force over ``[bounds[j], bounds[j + 1])`` (the last
+    one, always "nominal", from ``bounds[-1]`` on); before ``bounds[0]``
+    the state is "nominal".  Every start and end is a bound, so the set of
+    open windows is constant within a segment, and the segment's state is
+    that of the latest open window: a sweep over the bounds keeps the
+    started windows in a max-heap by index and drops closed ones from its
+    top.  ``windows`` must be sorted by start.
+    """
+    bounds = sorted({w.start_ms for w in windows} | {w.end_ms for w in windows})
+    states: List[str] = []
+    heap: List[Tuple[int, float]] = []  # (-index, end_ms) of started windows
+    started = 0
+    for bound in bounds:
+        while started < len(windows) and windows[started].start_ms <= bound:
+            heapq.heappush(heap, (-started, windows[started].end_ms))
+            started += 1
+        while heap and heap[0][1] <= bound:
+            heapq.heappop(heap)
+        states.append(windows[-heap[0][0]].state if heap else "nominal")
+    return bounds, states
+
+
 @dataclass
 class Trace:
     """A seeded multi-app traffic trace plus its thermal envelope."""
@@ -119,21 +148,19 @@ class Trace:
         starts = [w.start_ms for w in self.throttle]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise ValueError("throttle windows must be sorted by start")
+        self._bounds, self._states = _state_segments(self.throttle)
 
     # ------------------------------------------------------------- queries
     def state_at(self, time_ms: float) -> str:
         """Throttle state in force at ``time_ms`` ("nominal" outside windows).
 
         Windows are half-open [start, end); later windows win on overlap
-        (the governor's most recent decision).
+        (the governor's most recent decision).  One binary search over the
+        segment table built at construction, so ``throttle`` is read as
+        fixed once the trace exists.
         """
-        state = "nominal"
-        for window in self.throttle:
-            if window.start_ms > time_ms:
-                break
-            if time_ms < window.end_ms:
-                state = window.state
-        return state
+        segment = bisect.bisect_right(self._bounds, time_ms) - 1
+        return self._states[segment] if segment >= 0 else "nominal"
 
     def factor_at(self, time_ms: float) -> float:
         return THROTTLE_STATES[self.state_at(time_ms)]

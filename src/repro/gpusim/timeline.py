@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,27 +22,33 @@ class MemoryTimeline:
         #: (time_ms, total_bytes) step samples, time-sorted.
         self.samples: List[Tuple[float, int]] = [(0.0, 0)]
 
+    def _after(self, time_ms: float) -> int:
+        """Index of the first sample later than ``time_ms`` (binary search).
+
+        Samples are time-sorted and a sample ``(t, v)`` compares at or below
+        the probe ``(time_ms, inf)`` exactly when ``t <= time_ms``, so a
+        plain tuple bisect needs no ``key=``.
+        """
+        return bisect.bisect_right(self.samples, (time_ms, math.inf))
+
     def record(self, time_ms: float, total_bytes: int) -> None:
-        """Append a sample; out-of-order times are inserted in place."""
+        """Append a sample; out-of-order times are inserted in place,
+        after any samples at the same time."""
         if total_bytes < 0:
             raise ValueError("memory cannot be negative")
         if self.samples and time_ms >= self.samples[-1][0]:
             self.samples.append((time_ms, total_bytes))
         else:
-            idx = bisect.bisect_right([t for t, _ in self.samples], time_ms)
-            self.samples.insert(idx, (time_ms, total_bytes))
+            self.samples.insert(self._after(time_ms), (time_ms, total_bytes))
 
     @property
     def peak_bytes(self) -> int:
         return max(v for _, v in self.samples)
 
     def usage_at(self, time_ms: float) -> int:
-        usage = 0
-        for t, v in self.samples:
-            if t > time_ms:
-                break
-            usage = v
-        return usage
+        """Value of the last sample at or before ``time_ms`` (0 before any)."""
+        idx = self._after(time_ms)
+        return self.samples[idx - 1][1] if idx else 0
 
     def average_bytes(self, start_ms: float = 0.0, end_ms: Optional[float] = None) -> float:
         """Time-weighted average over [start, end] (end defaults to last sample).
@@ -57,11 +63,12 @@ class MemoryTimeline:
         if end_ms <= start_ms:
             return float(self.usage_at(start_ms))
         total = 0.0
-        prev_t, prev_v = start_ms, self.usage_at(start_ms)
+        samples = self.samples
+        first = self._after(start_ms)
+        prev_t, prev_v = start_ms, samples[first - 1][1] if first else 0
         vmin = vmax = prev_v
-        for t, v in self.samples:
-            if t <= start_ms:
-                continue
+        for k in range(first, len(samples)):
+            t, v = samples[k]
             if t >= end_ms:
                 break
             total += prev_v * (t - prev_t)
@@ -93,6 +100,10 @@ class MemoryTimeline:
 
 
 # ------------------------------------------------------- columnar merging
+_ZERO_TIME = np.zeros(1, dtype=np.float64)
+_ZERO_DELTA = np.zeros(1, dtype=np.int64)
+
+
 def session_deltas(timeline: MemoryTimeline) -> Tuple[np.ndarray, np.ndarray]:
     """A timeline's step samples as (times, deltas) columns.
 
@@ -125,37 +136,84 @@ def merge_session_columns(
     bytes counted (the conditional form of the old absolute ``record(end,
     0)`` floor drop, which zeroed co-resident apps).
 
-    The merge is one numpy pass: concatenate all columns, stable-sort by
-    time (``np.lexsort``), cumulative-sum the deltas.  Stability extends the
-    simulator's same-instant tie rule (engine ``build_timeline``) across
-    session boundaries: within a session the original — already
-    tie-resolved — sample order is preserved, and at a shared instant an
-    earlier session's teardown free integrates before a later session's
-    first allocation, so a back-to-back handoff is an exchange, not a
-    transient double-residency.  Sessions must be supplied in start order.
+    The merge is one numpy pass.  Each distinct ``(times, deltas)`` pair is
+    prepared once (replay splices a few hundred episodes into thousands of
+    sessions).  The time blocks are concatenated with a teardown slot after
+    each, the start offsets added with one ``np.repeat`` and the exact
+    ``end_ms`` scattered into the teardown slots.  When one vectorised
+    comparison finds the result chronological — as it is whenever sessions
+    never overlap — every session starts from a zero floor, so the totals
+    are the blocks' own running totals with a zero in each teardown slot:
+    the int64 sums a cumulative sum of the concatenated deltas gives.
+    Otherwise the samples are stable-sorted by time (``np.lexsort``) and
+    the deltas cumulative-summed.  Stability extends the simulator's
+    same-instant tie rule (engine ``build_timeline``) across session
+    boundaries: within a session the original — already tie-resolved —
+    sample order is preserved, and at a shared instant an earlier session's
+    teardown free integrates before a later session's first allocation, so
+    a back-to-back handoff is an exchange, not a transient double-residency.
+    (On sorted input the stable sort is the identity, so both branches
+    agree.)  Sessions must be supplied in start order.
 
     Returns ``(times, totals)`` columns; totals are exact int64 sums, and
     for non-overlapping sessions the columns are sample-for-sample what the
     seed per-``record`` merge loop produced.
     """
-    times_parts: List[np.ndarray] = [np.zeros(1, dtype=np.float64)]
-    delta_parts: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
+    # Keyed by object identity; each entry also holds the keyed objects, so
+    # no id can be recycled mid-merge even if ``sessions`` builds them lazily.
+    blocks: Dict[Tuple[int, int], _Block] = {}
+    spliced: List[_Block] = []
+    offsets: List[float] = [0.0]
+    ends: List[float] = []
     for offset_ms, times, deltas, end_ms in sessions:
+        key = (id(times), id(deltas))
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _Block(times, deltas)
+        spliced.append(block)
+        offsets.append(offset_ms)
+        ends.append(end_ms)
+    # The leading (0 ms, 0 B) sample, then each block and its teardown slot.
+    all_times = np.concatenate(
+        [_ZERO_TIME] + [part for b in spliced for part in b.time_slots]
+    )
+    counts = np.array([1] + [b.slots for b in spliced], dtype=np.intp)
+    all_times += np.repeat(np.array(offsets, dtype=np.float64), counts)
+    all_times[np.cumsum(counts)[1:] - 1] = ends
+    if np.all(all_times[1:] >= all_times[:-1]):
+        if any(b.floor < 0 for b in blocks.values()):
+            raise ValueError("memory cannot be negative")
+        totals = np.concatenate(
+            [_ZERO_DELTA] + [part for b in spliced for part in b.total_slots]
+        )
+        return all_times, totals
+    all_deltas = np.concatenate(
+        [_ZERO_DELTA] + [part for b in spliced for part in b.delta_slots]
+    )
+    order = np.lexsort((all_times,))  # stable: ties keep session order
+    totals = np.cumsum(all_deltas[order])
+    if totals.min() < 0:
+        raise ValueError("memory cannot be negative")
+    return all_times[order], totals
+
+
+class _Block:
+    """One distinct session body, prepared once per merge."""
+
+    __slots__ = ("keep", "time_slots", "delta_slots", "total_slots", "slots", "floor")
+
+    def __init__(self, times: Any, deltas: Any) -> None:
+        self.keep = (times, deltas)  # pins the ids the merge keys on
         times = np.asarray(times, dtype=np.float64)
         deltas = np.asarray(deltas, dtype=np.int64)
-        times_parts.append(times + offset_ms)
-        delta_parts.append(deltas)
+        running = np.cumsum(deltas)
         # Teardown: the session's contribution returns to zero at its end.
-        times_parts.append(np.array([end_ms], dtype=np.float64))
-        delta_parts.append(np.array([-int(deltas.sum())], dtype=np.int64))
-    all_times = np.concatenate(times_parts)
-    all_deltas = np.concatenate(delta_parts)
-    order = np.lexsort((all_times,))  # stable: ties keep session order
-    merged_times = all_times[order]
-    totals = np.cumsum(all_deltas[order])
-    if len(totals) and totals.min() < 0:
-        raise ValueError("memory cannot be negative")
-    return merged_times, totals
+        teardown = np.array([-int(deltas.sum())], dtype=np.int64)
+        self.time_slots = (times, _ZERO_TIME)  # end_ms is scattered in later
+        self.delta_slots = (deltas, teardown)
+        self.total_slots = (running, _ZERO_DELTA)
+        self.slots = len(times) + 1
+        self.floor = int(running.min()) if len(running) else 0
 
 
 def merge_sessions(
